@@ -164,7 +164,6 @@ util::StatusOr<std::string> Cluster::TryBind(PodId id) {
     return util::Status::Internal("scheduler chose unknown node");
   }
   MYRTUS_RETURN_IF_ERROR(CommitBind(id, *target));
-  metrics_.Inc("pods_bound");
   span.SetAttribute("node", result->node_id);
   return result->node_id;
 }
@@ -208,7 +207,6 @@ util::StatusOr<std::string> Cluster::BindPodToNode(const PodSpec& spec,
     pods_.Erase(id);
     return committed;
   }
-  metrics_.Inc("pods_bound_directed");
   return node_id;
 }
 
@@ -288,21 +286,17 @@ util::StatusOr<std::string> Cluster::BindPodWithPreemption(const PodSpec& spec) 
   auto rebind = TryBind(id);
   if (rebind.ok()) {
     evictions_ += evicted.size();
-    for (std::size_t i = 0; i < evicted.size(); ++i) {
-      metrics_.Inc("pods_evicted");
-    }
     return rebind;
   }
   // The preemptor still cannot bind (an opaque filter, or capacity shifted):
   // re-commit every victim onto its original node, newest first, restoring
-  // the original bind time. Nothing was gained, so nothing may be lost.
+  // the original bind time. Nothing was gained, so nothing may be lost. A
+  // victim whose home refuses it stays pending (MarkUnbound above) and is
+  // retried by the next Reconcile().
   for (auto rit = evicted.rbegin(); rit != evicted.rend(); ++rit) {
     NodeState& home = index_.at(static_cast<std::size_t>(rit->node_slot));
-    if (util::Status restored = CommitBind(rit->id, home); restored.ok()) {
+    if (CommitBind(rit->id, home).ok()) {
       pods_.SetBoundAtNs(rit->id, rit->bound_at_ns);
-      metrics_.Inc("preemption_rollbacks");
-    } else {
-      metrics_.Inc("preemption_rollback_failures");
     }
   }
   return rebind.status();
@@ -386,7 +380,6 @@ void Cluster::Reconcile() {
       pods_.SetPhase(id, PodPhase::kEvicted);
       MarkUnbound(id);
       ++evictions_;
-      metrics_.Inc("pods_evicted_node_failure");
     }
   }
 
@@ -397,7 +390,6 @@ void Cluster::Reconcile() {
       const double per_replica = std::max(1e-9, dep.pod_template.cpu_request);
       const int desired = static_cast<int>(std::ceil(demand / per_replica));
       dep.replicas = std::clamp(desired, dep.min_replicas, dep.max_replicas);
-      metrics_.Set("autoscale_" + name, dep.replicas);
     }
   }
 
@@ -447,8 +439,6 @@ void Cluster::Reconcile() {
       unbound_.push_back(id);
     }
   }
-  metrics_.Set("running_pods", static_cast<double>(RunningPods()));
-  metrics_.Set("pending_pods", static_cast<double>(PendingPods()));
 }
 
 void Cluster::StartReconcileLoop(sim::SimTime period) {

@@ -1,7 +1,7 @@
 // Locks in the deterministic fork-join contract of util/parallel: any worker
 // count — inline serial (0/1) or pooled (2/8) — produces byte-identical
 // results, including bodies that consume randomness, and a full MAPE world
-// emits an identical sim::Trace whether its hot loops ran serial or pooled.
+// ends in an identical state whether its hot loops ran serial or pooled.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dpe/pipeline.hpp"
+#include "kb/store.hpp"
 #include "mirto/agent.hpp"
 #include "mirto/engine.hpp"
 #include "usecases/scenario.hpp"
@@ -150,11 +151,12 @@ TEST(ParallelPool, StatsCountRegionsAndItems) {
   EXPECT_GT(after.pooled_regions, before.pooled_regions);
 }
 
-// --- Full MAPE world: serial vs pooled traces --------------------------------
+// --- Full MAPE world: serial vs pooled state ---------------------------------
 
 /// Deploys the telerehab scenario through a MIRTO agent, runs the periodic
 /// MAPE loop for a stretch of simulated time, and fingerprints everything
-/// observable: the network trace, metric aggregates, and scheduler state.
+/// observable: the agent's whole KB (each key's revision and value), the
+/// network counters, and engine and scheduler state.
 std::string RunMapeWorldFingerprint() {
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
@@ -189,17 +191,26 @@ std::string RunMapeWorldFingerprint() {
 
   std::ostringstream fp;
   fp.precision(17);
-  for (const sim::TraceRecord& r : network.trace().records()) {
-    fp << r.at.ns << '|' << r.component << '|' << r.event << '|' << r.value
-       << '\n';
+  for (const kb::KeyValue& kv : store.Range("/")) {
+    fp << kv.key << '|' << kv.mod_revision << '|' << kv.value.Dump() << '\n';
   }
+  // Non-vacuity: the MAPE loop must have published every node's record, or
+  // a diverging pooled run could leave both fingerprints equally empty.
+  for (const auto& node : infra.nodes) {
+    EXPECT_TRUE(store.Get("/registry/nodes/" + node->id()).ok())
+        << "no KB record for node " << node->id();
+  }
+  fp << "bytes=" << network.bytes_sent() << '\n';
+  fp << "delivered=" << network.messages_delivered() << '\n';
+  fp << "dropped=" << network.messages_dropped() << '\n';
+  fp << "retries=" << network.retries() << '\n';
   fp << "pods=" << cluster.RunningPods() << '\n';
   fp << "events=" << engine.executed_events() << '\n';
   for (const std::string& app : agent.DeployedApps()) fp << app << '\n';
   return fp.str();
 }
 
-TEST(ParallelMapeWorld, TraceIsIdenticalSerialVsPooled) {
+TEST(ParallelMapeWorld, StateIsIdenticalSerialVsPooled) {
   SetParallelWorkers(1);
   const std::string serial = RunMapeWorldFingerprint();
   ASSERT_FALSE(serial.empty());

@@ -1,5 +1,5 @@
 // Telemetry layer: tracer causality, histogram quantiles, exporters, the
-// legacy sim::Metrics bridge, and end-to-end span trees across the simulated
+// disabled fast path, and end-to-end span trees across the simulated
 // continuum (pubsub hop, full contract-net negotiation).
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "net/pubsub.hpp"
 #include "net/transport.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tosca/csar.hpp"
@@ -204,21 +203,8 @@ TEST_F(TelemetryTest, ChromeTraceJsonRoundtripsThroughParser) {
   EXPECT_EQ(complete->at("args").at("pod").as_string(), "pose-0");
 }
 
-TEST_F(TelemetryTest, LegacySimMetricsBridgeIntoRegistry) {
-  sim::Metrics legacy;
-  legacy.Inc("pods_scheduled");
-  legacy.Inc("pods_scheduled", 2);
-  legacy.Set("queue_depth", 7);
-  EXPECT_DOUBLE_EQ(legacy.Get("pods_scheduled"), 3.0);
-  auto& reg = Global().metrics;
-  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_pods_scheduled"), 3.0);
-  EXPECT_DOUBLE_EQ(reg.Value("myrtus_sim_queue_depth"), 7.0);
-}
-
 TEST_F(TelemetryTest, DisabledPathRecordsNothing) {
   SetEnabled(false);
-  sim::Metrics legacy;
-  legacy.Inc("quiet");
   {
     ScopedSpan span("ghost", "test");
     span.SetAttribute("k", "v");
