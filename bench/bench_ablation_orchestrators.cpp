@@ -54,8 +54,11 @@ RunResult RunScenario(PlacementStrategy strategy, bool mobility, int edge_scale)
     pods.push_back(pod);
   }
   std::vector<std::string> node_ids;
-  for (auto& n : infra.nodes) node_ids.push_back(n->id());
-  const auto costs = netmgr.LatencyCostMs(scenario.source_host, node_ids);
+  for (sched::NodeState* ns : cluster.NodeStates()) {
+    node_ids.push_back(ns->node->id());
+  }
+  const std::vector<double> costs =
+      netmgr.LatencyCostMs(scenario.source_host, netmgr.ResolveHosts(node_ids));
 
   RunResult result;
   auto directives = wl.PlanPlacement(pods, costs, {});

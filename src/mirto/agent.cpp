@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "telemetry/telemetry.hpp"
 #include "util/units.hpp"
@@ -217,13 +218,11 @@ util::Status MirtoAgent::Deploy(const tosca::CsarPackage& package) {
 
   // Gather network costs (Network Manager) and vetoes (P&S Manager), then
   // plan (WL Manager) — the §VI interaction pattern.
-  std::vector<std::string> node_ids;
-  for (const auto& node : infra_.nodes) node_ids.push_back(node->id());
   const std::string anchor = config_.gateway_anchor.empty()
                                  ? infra_.DefaultGateway()
                                  : config_.gateway_anchor;
-  const auto latency_costs = netmgr_.LatencyCostMs(anchor, node_ids);
-  auto directives = wl_.PlanPlacement(*pods, latency_costs, psm_.VetoedNodes());
+  auto directives = wl_.PlanPlacement(*pods, PlacementLatencyCostsMs(anchor),
+                                      psm_.VetoedNodes());
   if (!directives.ok()) {
     ++stats_.deployments_rejected;
     return directives.status();
@@ -252,6 +251,37 @@ util::Status MirtoAgent::Deploy(const tosca::CsarPackage& package) {
                            std::string(security::SecurityLevelName(pod.min_security))));
   }
   return util::Status::Ok();
+}
+
+std::vector<double> MirtoAgent::PlacementLatencyCostsMs(
+    const std::string& anchor) {
+  const net::Topology& topology = network_.topology();
+  const std::size_t slots = cluster_.index().size();
+  if (slot_hosts_.size() != slots ||
+      resolved_topology_hosts_ != topology.host_count() ||
+      resolved_infra_nodes_ != infra_.nodes.size()) {
+    // Hosts and cluster slots are only ever appended, so this re-resolves
+    // only when the fleet or the topology grew.
+    std::set<std::string_view> infra_ids;
+    for (const auto& node : infra_.nodes) infra_ids.insert(node->id());
+    slot_hosts_.assign(slots, std::nullopt);
+    unpriced_slots_.clear();
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      const std::string& id = cluster_.index().at(slot).node->id();
+      if (infra_ids.count(id) > 0) {
+        slot_hosts_[slot] = topology.HostIndex(id);
+      } else {
+        unpriced_slots_.push_back(slot);
+      }
+    }
+    resolved_topology_hosts_ = topology.host_count();
+    resolved_infra_nodes_ = infra_.nodes.size();
+  }
+  std::vector<double> costs = netmgr_.LatencyCostMs(anchor, slot_hosts_);
+  for (const std::size_t slot : unpriced_slots_) {
+    costs[slot] = kDefaultLatencyCostMs;
+  }
+  return costs;
 }
 
 util::Status MirtoAgent::Undeploy(const std::string& app_name) {

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <set>
 #include <string>
@@ -161,6 +162,10 @@ class MirtoAgent {
   /// a Plan visit at that time.
   void QueuePlanCrossing(std::size_t index, std::int64_t now_ns);
 
+  /// Latency cost per cluster slot for PlanPlacement: the Network Manager
+  /// prices the infrastructure's nodes; other cluster nodes (peering virtual
+  /// nodes) get kDefaultLatencyCostMs.
+  std::vector<double> PlacementLatencyCostsMs(const std::string& anchor);
   /// Lazily registers the ChangeTracker listener (incremental path only).
   void EnsureTrackerListener();
   /// Begins tracking a just-deployed pod's start wait. Pods the workload
@@ -192,6 +197,13 @@ class MirtoAgent {
   std::int64_t registry_watch_ = 0;
   std::vector<NodeManager::Decision> planned_points_;
   std::map<std::string, std::vector<std::string>> app_pods_;  // app -> pods
+  // Topology host per cluster slot (nullopt: unknown to the topology) and
+  // the slots that are not infrastructure nodes, resolved when the fleet or
+  // the topology has grown since the last deploy.
+  std::vector<std::optional<std::size_t>> slot_hosts_;
+  std::vector<std::size_t> unpriced_slots_;
+  std::size_t resolved_topology_hosts_ = 0;
+  std::size_t resolved_infra_nodes_ = 0;
   telemetry::SloEngine slo_;
 
   /// --- Incremental observation state -------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 
 namespace myrtus::mirto {
 
@@ -22,7 +23,7 @@ WlManager::WlManager(sched::Cluster& cluster, PlacementStrategy strategy,
 
 util::StatusOr<std::map<std::string, std::string>> WlManager::PlanPlacement(
     const std::vector<sched::PodSpec>& pods,
-    const std::map<std::string, double>& node_latency_cost_ms,
+    const std::vector<double>& node_latency_cost_ms,
     const std::vector<std::string>& vetoed_nodes) {
   std::map<std::string, std::string> directives;
   if (strategy_ == PlacementStrategy::kStaticKube) {
@@ -33,13 +34,13 @@ util::StatusOr<std::map<std::string, std::string>> WlManager::PlanPlacement(
 
   // Build the swarm placement problem from cluster state.
   swarm::PlacementProblem problem;
-  std::vector<sched::NodeState*> states;
-  for (sched::NodeState* ns : cluster_.NodeStates()) {
+  const std::set<std::string_view> vetoed(vetoed_nodes.begin(),
+                                          vetoed_nodes.end());
+  const std::vector<sched::NodeState*> states = cluster_.NodeStates();
+  for (std::size_t slot = 0; slot < states.size(); ++slot) {
+    const sched::NodeState* ns = states[slot];
     if (!ns->node->up() || ns->cordoned()) continue;
-    if (std::find(vetoed_nodes.begin(), vetoed_nodes.end(), ns->node->id()) !=
-        vetoed_nodes.end()) {
-      continue;
-    }
+    if (vetoed.count(ns->node->id()) > 0) continue;
     swarm::PlacementNode pn;
     pn.id = ns->node->id();
     pn.cpu_capacity = ns->CpuFree();
@@ -51,10 +52,10 @@ util::StatusOr<std::map<std::string, std::string>> WlManager::PlanPlacement(
       power += d.active_point().power_active_mw;
     }
     pn.power_mw_per_cpu = power / std::max(1e-9, ns->cpu_capacity());
-    const auto it = node_latency_cost_ms.find(pn.id);
-    pn.latency_to_consumer_ms = it == node_latency_cost_ms.end() ? 10.0 : it->second;
+    pn.latency_to_consumer_ms = slot < node_latency_cost_ms.size()
+                                    ? node_latency_cost_ms[slot]
+                                    : kDefaultLatencyCostMs;
     problem.nodes.push_back(std::move(pn));
-    states.push_back(ns);
   }
   if (problem.nodes.empty()) {
     return util::Status::ResourceExhausted("no schedulable nodes");
@@ -158,13 +159,27 @@ util::Status NodeManager::Execute(continuum::ComputeNode& node,
 NetworkManager::NetworkManager(const net::Topology& topology)
     : topology_(topology) {}
 
-std::map<std::string, double> NetworkManager::LatencyCostMs(
+std::vector<std::optional<std::size_t>> NetworkManager::ResolveHosts(
+    const std::vector<std::string>& ids) const {
+  std::vector<std::optional<std::size_t>> out;
+  out.reserve(ids.size());
+  for (const std::string& id : ids) out.push_back(topology_.HostIndex(id));
+  return out;
+}
+
+std::vector<double> NetworkManager::LatencyCostMs(
     const std::string& anchor_host,
-    const std::vector<std::string>& node_ids) const {
-  std::map<std::string, double> out;
-  for (const std::string& node : node_ids) {
-    auto route = topology_.FindRoute(anchor_host, node);
-    out[node] = route.ok() ? route->propagation.ToMillisF() : 1e9;
+    const std::vector<std::optional<std::size_t>>& hosts) const {
+  constexpr double kUnreachableMs = 1e9;
+  std::vector<double> out(hosts.size(), kUnreachableMs);
+  const std::optional<std::size_t> anchor = topology_.HostIndex(anchor_host);
+  if (!anchor) return out;
+  const std::vector<std::int64_t>& row_ns = topology_.DistanceRowNs(*anchor);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    if (!hosts[i]) continue;
+    const std::int64_t dist_ns = row_ns[*hosts[i]];
+    if (dist_ns == std::numeric_limits<std::int64_t>::max()) continue;
+    out[i] = sim::SimTime::Nanos(dist_ns).ToMillisF();
   }
   return out;
 }
@@ -172,19 +187,20 @@ std::map<std::string, double> NetworkManager::LatencyCostMs(
 util::StatusOr<std::string> NetworkManager::NearestNode(
     const std::string& anchor_host,
     const std::vector<std::string>& node_ids) const {
-  const auto costs = LatencyCostMs(anchor_host, node_ids);
-  std::string best;
+  const std::vector<double> costs =
+      LatencyCostMs(anchor_host, ResolveHosts(node_ids));
+  const std::string* best = nullptr;
   double best_ms = std::numeric_limits<double>::infinity();
-  for (const auto& [node, ms] : costs) {
-    if (ms < best_ms) {
-      best_ms = ms;
-      best = node;
+  for (std::size_t i = 0; i < node_ids.size(); ++i) {
+    if (costs[i] < best_ms || (costs[i] == best_ms && node_ids[i] < *best)) {
+      best_ms = costs[i];
+      best = &node_ids[i];
     }
   }
-  if (best.empty() || best_ms >= 1e9) {
+  if (best == nullptr || best_ms >= 1e9) {
     return util::Status::NotFound("no reachable node from " + anchor_host);
   }
-  return best;
+  return *best;
 }
 
 PrivacySecurityManager::PrivacySecurityManager(double veto_threshold)

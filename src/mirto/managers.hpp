@@ -8,6 +8,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,6 +34,10 @@ enum class PlacementStrategy : std::uint8_t {
 };
 std::string_view PlacementStrategyName(PlacementStrategy strategy);
 
+/// Latency cost (ms) the Workload Manager assumes for a node the Network
+/// Manager has not priced.
+inline constexpr double kDefaultLatencyCostMs = 10.0;
+
 /// --- Workload Manager -----------------------------------------------------
 class WlManager {
  public:
@@ -41,10 +46,13 @@ class WlManager {
 
   /// Decides node bindings for a pod set using the global cost model
   /// (energy + latency-to-gateway + balance), honoring vetoes from the
-  /// security manager. Returns pod-name -> node-id directives.
+  /// security manager. `node_latency_cost_ms` is indexed like the cluster's
+  /// NodeStates(); slots past its end cost kDefaultLatencyCostMs, so an
+  /// empty vector means "no network view". Returns pod-name -> node-id
+  /// directives.
   util::StatusOr<std::map<std::string, std::string>> PlanPlacement(
       const std::vector<sched::PodSpec>& pods,
-      const std::map<std::string, double>& node_latency_cost_ms,
+      const std::vector<double>& node_latency_cost_ms,
       const std::vector<std::string>& vetoed_nodes);
 
   /// Applies directives: binds each pod to its planned node via a pinning
@@ -101,13 +109,21 @@ class NetworkManager {
  public:
   explicit NetworkManager(const net::Topology& topology);
 
-  /// Latency (ms) from each node to a data source/consumer host. Unreachable
-  /// nodes get +inf-ish cost.
-  [[nodiscard]] std::map<std::string, double> LatencyCostMs(
-      const std::string& anchor_host,
-      const std::vector<std::string>& node_ids) const;
+  /// Topology index of each host id; nullopt for hosts the topology does not
+  /// know. Indices stay valid as the topology grows, so callers resolve once.
+  [[nodiscard]] std::vector<std::optional<std::size_t>> ResolveHosts(
+      const std::vector<std::string>& ids) const;
 
-  /// Picks the cheapest node (by latency to anchor) among candidates.
+  /// Latency (ms) from a data source/consumer host to each resolved host,
+  /// aligned with `hosts`: 0 for the anchor itself, 1e9 for unknown or
+  /// unreachable hosts (all of them when the anchor is unknown). Reads the
+  /// anchor's one distance row.
+  [[nodiscard]] std::vector<double> LatencyCostMs(
+      const std::string& anchor_host,
+      const std::vector<std::optional<std::size_t>>& hosts) const;
+
+  /// Picks the cheapest node (by latency to anchor) among candidates; ties go
+  /// to the lexicographically smallest id.
   [[nodiscard]] util::StatusOr<std::string> NearestNode(
       const std::string& anchor_host,
       const std::vector<std::string>& node_ids) const;

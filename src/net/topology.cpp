@@ -10,7 +10,7 @@ void Topology::AddHost(const HostId& id) {
   host_index_[id] = hosts_.size();
   hosts_.push_back(id);
   out_links_.emplace_back();
-  routes_dirty_ = true;
+  rows_.clear();
 }
 
 void Topology::AddLink(Link link) {
@@ -20,7 +20,7 @@ void Topology::AddLink(Link link) {
   out_links_[host_index_[link.from]].push_back(index);
   links_.push_back(std::move(link));
   link_up_.push_back(true);
-  routes_dirty_ = true;
+  rows_.clear();
 }
 
 void Topology::AddBidirectional(const HostId& a, const HostId& b,
@@ -37,7 +37,7 @@ bool Topology::HasHost(const HostId& id) const {
 void Topology::SetLinkUp(std::size_t index, bool up) {
   if (index < link_up_.size() && link_up_[index] != up) {
     link_up_[index] = up;
-    routes_dirty_ = true;
+    rows_.clear();
   }
 }
 
@@ -45,39 +45,48 @@ bool Topology::IsLinkUp(std::size_t index) const {
   return index < link_up_.size() && link_up_[index];
 }
 
-void Topology::EnsureRoutesFresh() const {
-  if (!routes_dirty_) return;
-  const std::size_t n = hosts_.size();
-  next_link_.assign(n, std::vector<std::int32_t>(n, -1));
+std::optional<std::size_t> Topology::HostIndex(const HostId& id) const {
+  const auto it = host_index_.find(id);
+  if (it == host_index_.end()) return std::nullopt;
+  return it->second;
+}
 
-  // Dijkstra from every source. Control-plane topologies are small (tens to
-  // low hundreds of hosts), so O(V * E log V) is fine.
-  for (std::size_t src = 0; src < n; ++src) {
-    std::vector<std::int64_t> dist(n, std::numeric_limits<std::int64_t>::max());
-    std::vector<std::int32_t> first_link(n, -1);
-    using QItem = std::pair<std::int64_t, std::size_t>;  // (dist, host)
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-    dist[src] = 0;
-    pq.emplace(0, src);
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d != dist[u]) continue;
-      for (const std::size_t li : out_links_[u]) {
-        if (!link_up_[li]) continue;
-        const Link& l = links_[li];
-        const std::size_t v = host_index_.at(l.to);
-        const std::int64_t nd = d + l.latency.ns;
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          first_link[v] = (u == src) ? static_cast<std::int32_t>(li) : first_link[u];
-          pq.emplace(nd, v);
-        }
+const std::vector<std::int64_t>& Topology::DistanceRowNs(std::size_t src) const {
+  return Row(src).dist_ns;
+}
+
+const Topology::RouteRow& Topology::Row(std::size_t src) const {
+  const std::size_t n = hosts_.size();
+  if (rows_.empty()) rows_.resize(n);
+  RouteRow& row = rows_[src];
+  if (!row.dist_ns.empty()) return row;
+
+  // Dijkstra from `src`, O(E log V) for the one row.
+  row.dist_ns.assign(n, std::numeric_limits<std::int64_t>::max());
+  row.first_link.assign(n, -1);
+  std::vector<std::int64_t>& dist = row.dist_ns;
+  std::vector<std::int32_t>& first_link = row.first_link;
+  using QItem = std::pair<std::int64_t, std::size_t>;  // (dist, host)
+  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
+  dist[src] = 0;
+  pq.emplace(0, src);
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d != dist[u]) continue;
+    for (const std::size_t li : out_links_[u]) {
+      if (!link_up_[li]) continue;
+      const Link& l = links_[li];
+      const std::size_t v = host_index_.at(l.to);
+      const std::int64_t nd = d + l.latency.ns;
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        first_link[v] = (u == src) ? static_cast<std::int32_t>(li) : first_link[u];
+        pq.emplace(nd, v);
       }
     }
-    next_link_[src] = std::move(first_link);
   }
-  routes_dirty_ = false;
+  return row;
 }
 
 util::StatusOr<Route> Topology::FindRoute(const HostId& from,
@@ -90,8 +99,6 @@ util::StatusOr<Route> Topology::FindRoute(const HostId& from,
   if (fit->second == tit->second) {
     return Route{};  // loopback: empty path, zero latency
   }
-  EnsureRoutesFresh();
-
   Route route;
   std::size_t cur = fit->second;
   const std::size_t dst = tit->second;
@@ -102,7 +109,7 @@ util::StatusOr<Route> Topology::FindRoute(const HostId& from,
       if (route.link_indices.empty()) break;
       return route;
     }
-    const std::int32_t li = next_link_[cur][dst];
+    const std::int32_t li = Row(cur).first_link[dst];
     if (li < 0) break;
     const Link& l = links_[static_cast<std::size_t>(li)];
     route.link_indices.push_back(static_cast<std::size_t>(li));

@@ -13,6 +13,29 @@ namespace {
 
 constexpr double kViolationPenalty = 1e6;
 
+/// The objective's per-task terms for `task` on `node`, added to `cost` in
+/// the order Cost adds them.
+void AddTaskTerms(const PlacementProblem& problem, const PlacementTask& task,
+                  const PlacementNode& node, double& cost) {
+  if (node.security_level < task.min_security) cost += kViolationPenalty;
+  if (task.needs_accelerator && !node.has_accelerator) cost += kViolationPenalty;
+  // Energy: cpu demand * node power proxy. Latency: traffic-weighted
+  // distance to the consumer.
+  cost += problem.energy_weight * task.cpu * node.power_mw_per_cpu * 1e-3;
+  cost += problem.latency_weight * task.traffic_kbps * node.latency_to_consumer_ms * 1e-3;
+}
+
+/// The objective's per-node terms for `node` carrying the given usage.
+void AddNodeTerms(const PlacementNode& node, double cpu_used, double mem_used,
+                  double& cost, double& imbalance) {
+  if (cpu_used > node.cpu_capacity) {
+    cost += kViolationPenalty * (1.0 + cpu_used - node.cpu_capacity);
+  }
+  if (mem_used > node.mem_capacity_mb) cost += kViolationPenalty;
+  const double util = node.cpu_capacity > 0 ? cpu_used / node.cpu_capacity : 0.0;
+  imbalance += util * util;
+}
+
 }  // namespace
 
 double PlacementProblem::Cost(const std::vector<int>& assignment) const {
@@ -27,26 +50,14 @@ double PlacementProblem::Cost(const std::vector<int>& assignment) const {
       cost += kViolationPenalty;
       continue;
     }
-    const PlacementTask& task = tasks[t];
-    const PlacementNode& node = nodes[static_cast<std::size_t>(ni)];
-    if (node.security_level < task.min_security) cost += kViolationPenalty;
-    if (task.needs_accelerator && !node.has_accelerator) cost += kViolationPenalty;
-    cpu_used[static_cast<std::size_t>(ni)] += task.cpu;
-    mem_used[static_cast<std::size_t>(ni)] += task.mem_mb;
-    // Energy: cpu demand * node power proxy. Latency: traffic-weighted
-    // distance to the consumer.
-    cost += energy_weight * task.cpu * node.power_mw_per_cpu * 1e-3;
-    cost += latency_weight * task.traffic_kbps * node.latency_to_consumer_ms * 1e-3;
+    const std::size_t n = static_cast<std::size_t>(ni);
+    AddTaskTerms(*this, tasks[t], nodes[n], cost);
+    cpu_used[n] += tasks[t].cpu;
+    mem_used[n] += tasks[t].mem_mb;
   }
   double imbalance = 0.0;
   for (std::size_t n = 0; n < nodes.size(); ++n) {
-    if (cpu_used[n] > nodes[n].cpu_capacity) {
-      cost += kViolationPenalty * (1.0 + cpu_used[n] - nodes[n].cpu_capacity);
-    }
-    if (mem_used[n] > nodes[n].mem_capacity_mb) cost += kViolationPenalty;
-    const double util =
-        nodes[n].cpu_capacity > 0 ? cpu_used[n] / nodes[n].cpu_capacity : 0.0;
-    imbalance += util * util;
+    AddNodeTerms(nodes[n], cpu_used[n], mem_used[n], cost, imbalance);
   }
   cost += balance_weight * imbalance;
   return cost;
@@ -57,37 +68,88 @@ bool PlacementProblem::Feasible(const std::vector<int>& assignment) const {
 }
 
 PlacementSolution SolveGreedy(const PlacementProblem& problem) {
+  const std::size_t task_count = problem.tasks.size();
+  const std::size_t node_count = problem.nodes.size();
   PlacementSolution sol;
-  sol.assignment.assign(problem.tasks.size(), -1);
-  std::vector<std::size_t> order(problem.tasks.size());
+  sol.assignment.assign(task_count, -1);
+  std::vector<std::size_t> order(task_count);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return problem.tasks[a].cpu > problem.tasks[b].cpu;
   });
 
+  // Each candidate's score is Cost(partial assignment + candidate), computed
+  // with the same additions in the same order, minus the ones that are
+  // exactly +0.0: a node holding no task adds nothing to the cost unless a
+  // capacity is negative, and adds +0.0 to the imbalance. So the node pass
+  // walks only `walk` (ascending: nodes holding a task plus empty nodes
+  // with a non-zero empty-state term) and the candidate. Usage sums must be
+  // in task-index order like Cost's, so they are cached per node and only
+  // the candidate's is recomputed.
+  std::vector<double> cpu_used(node_count, 0.0);
+  std::vector<double> mem_used(node_count, 0.0);
+  std::vector<std::size_t> walk;
+  for (std::size_t n = 0; n < node_count; ++n) {
+    double cost = 0.0;
+    double imbalance = 0.0;
+    AddNodeTerms(problem.nodes[n], 0.0, 0.0, cost, imbalance);
+    if (cost != 0.0) walk.push_back(n);
+  }
+
   for (const std::size_t t : order) {
-    // Candidate costs fan out across the pool (each shard probes on its own
-    // copy of the partial assignment); the argmin folds serially with strict
-    // <, so the first-lowest-node-index winner of the sequential loop is
-    // preserved exactly.
-    std::vector<double> costs(problem.nodes.size());
-    util::ParallelFor(problem.nodes.size(), [&](const util::Shard& shard) {
-      std::vector<int> probe = sol.assignment;
-      for (std::size_t n = shard.begin; n < shard.end; ++n) {
-        probe[t] = static_cast<int>(n);
-        costs[n] = problem.Cost(probe);
-      }
-    });
     double best_cost = std::numeric_limits<double>::infinity();
     int best_node = -1;
-    for (std::size_t n = 0; n < problem.nodes.size(); ++n) {
+    for (std::size_t c = 0; c < node_count; ++c) {
       ++sol.evaluations;
-      if (costs[n] < best_cost) {
-        best_cost = costs[n];
-        best_node = static_cast<int>(n);
+      double cost = 0.0;
+      double c_cpu = 0.0;
+      double c_mem = 0.0;
+      for (std::size_t i = 0; i < task_count; ++i) {
+        const int ni = i == t ? static_cast<int>(c) : sol.assignment[i];
+        if (ni < 0) {
+          cost += kViolationPenalty;
+          continue;
+        }
+        const std::size_t n = static_cast<std::size_t>(ni);
+        AddTaskTerms(problem, problem.tasks[i], problem.nodes[n], cost);
+        if (n == c) {
+          c_cpu += problem.tasks[i].cpu;
+          c_mem += problem.tasks[i].mem_mb;
+        }
+      }
+      double imbalance = 0.0;
+      bool candidate_walked = false;
+      for (const std::size_t n : walk) {
+        if (!candidate_walked && c <= n) {
+          AddNodeTerms(problem.nodes[c], c_cpu, c_mem, cost, imbalance);
+          candidate_walked = true;
+          if (c == n) continue;
+        }
+        AddNodeTerms(problem.nodes[n], cpu_used[n], mem_used[n], cost, imbalance);
+      }
+      if (!candidate_walked) {
+        AddNodeTerms(problem.nodes[c], c_cpu, c_mem, cost, imbalance);
+      }
+      cost += problem.balance_weight * imbalance;
+      // Strict < in node order: ties go to the lowest index.
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_node = static_cast<int>(c);
       }
     }
     sol.assignment[t] = best_node;
+    if (best_node < 0) continue;
+    const std::size_t b = static_cast<std::size_t>(best_node);
+    cpu_used[b] = 0.0;
+    mem_used[b] = 0.0;
+    for (std::size_t i = 0; i < task_count; ++i) {
+      if (sol.assignment[i] == best_node) {
+        cpu_used[b] += problem.tasks[i].cpu;
+        mem_used[b] += problem.tasks[i].mem_mb;
+      }
+    }
+    const auto at = std::lower_bound(walk.begin(), walk.end(), b);
+    if (at == walk.end() || *at != b) walk.insert(at, b);
   }
   sol.cost = problem.Cost(sol.assignment);
   return sol;

@@ -54,8 +54,13 @@ struct PlacementSolution {
   int evaluations = 0;
 };
 
-/// Best-fit greedy: tasks in descending cpu order, each to the feasible node
-/// with the lowest marginal cost.
+/// Best-fit greedy: tasks in descending cpu order, each to the node that
+/// minimizes Cost of the partial assignment (unplaced tasks count as
+/// violations); ties go to the lowest node index. Each candidate is scored
+/// with the same floating-point additions as Cost, in the same order, minus
+/// additions of exactly +0.0 (the terms of empty nodes), so the argmin is
+/// Cost's bit for bit. One candidate costs O(T + nodes holding a task), one
+/// solve O(T·N·(T + touched)) for T tasks and N nodes; `evaluations` is T·N.
 PlacementSolution SolveGreedy(const PlacementProblem& problem);
 /// Uniform random feasible-ish assignment (baseline).
 PlacementSolution SolveRandom(const PlacementProblem& problem, util::Rng& rng);

@@ -47,8 +47,11 @@ TEST_P(WlStrategyTest, PlansAndExecutesFeasiblePlacement) {
   WlManager wl(f.cluster, GetParam(), 7);
   NetworkManager netmgr(f.infra.topology);
   std::vector<std::string> node_ids;
-  for (auto& n : f.infra.nodes) node_ids.push_back(n->id());
-  const auto costs = netmgr.LatencyCostMs(f.infra.DefaultGateway(), node_ids);
+  for (sched::NodeState* ns : f.cluster.NodeStates()) {
+    node_ids.push_back(ns->node->id());
+  }
+  const std::vector<double> costs = netmgr.LatencyCostMs(
+      f.infra.DefaultGateway(), netmgr.ResolveHosts(node_ids));
 
   const auto pods = SamplePods();
   auto directives = wl.PlanPlacement(pods, costs, {});
@@ -156,10 +159,12 @@ TEST(NodeManager, MidUtilizationHolds) {
 TEST(NetworkManager, LatencyCostsFollowTopology) {
   Fixture f;
   NetworkManager mgr(f.infra.topology);
-  const auto costs = mgr.LatencyCostMs("gw-0", {"edge-0", "fmdc-0", "cloud-0"});
-  EXPECT_NEAR(costs.at("edge-0"), 2.0, 0.01);
-  EXPECT_NEAR(costs.at("fmdc-0"), 5.0, 0.01);
-  EXPECT_NEAR(costs.at("cloud-0"), 30.0, 0.01);
+  const std::vector<double> costs = mgr.LatencyCostMs(
+      "gw-0", mgr.ResolveHosts({"edge-0", "fmdc-0", "cloud-0"}));
+  ASSERT_EQ(costs.size(), 3u);
+  EXPECT_NEAR(costs[0], 2.0, 0.01);
+  EXPECT_NEAR(costs[1], 5.0, 0.01);
+  EXPECT_NEAR(costs[2], 30.0, 0.01);
   auto nearest = mgr.NearestNode("gw-0", {"fmdc-0", "cloud-0"});
   ASSERT_TRUE(nearest.ok());
   EXPECT_EQ(*nearest, "fmdc-0");
@@ -170,10 +175,53 @@ TEST(NetworkManager, UnreachableNodesGetInfiniteCost) {
   topo.AddHost("island");
   topo.AddBidirectional("a", "b", sim::SimTime::Millis(1), 1e9);
   NetworkManager mgr(topo);
-  const auto costs = mgr.LatencyCostMs("a", {"b", "island"});
-  EXPECT_LT(costs.at("b"), 10.0);
-  EXPECT_GE(costs.at("island"), 1e9);
+  const std::vector<double> costs =
+      mgr.LatencyCostMs("a", mgr.ResolveHosts({"b", "island"}));
+  ASSERT_EQ(costs.size(), 2u);
+  EXPECT_LT(costs[0], 10.0);
+  EXPECT_GE(costs[1], 1e9);
   EXPECT_FALSE(mgr.NearestNode("a", {"island"}).ok());
+}
+
+// The distance row must price every host exactly as the route walk does:
+// FindRoute's propagation for reachable hosts, 0 for the anchor itself and
+// 1e9 for unknown or unreachable hosts.
+TEST(NetworkManager, LatencyCostsMatchFindRouteForEveryHost) {
+  Fixture f;
+  f.infra.topology.AddHost("island");
+  std::vector<std::string> hosts;
+  for (const auto& n : f.infra.nodes) hosts.push_back(n->id());
+  const std::string anchor = f.infra.DefaultGateway();
+  hosts.push_back(anchor);
+  hosts.push_back("island");
+  hosts.push_back("no-such-host");
+  NetworkManager mgr(f.infra.topology);
+  const std::vector<double> costs =
+      mgr.LatencyCostMs(anchor, mgr.ResolveHosts(hosts));
+  ASSERT_EQ(costs.size(), hosts.size());
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const auto route = f.infra.topology.FindRoute(anchor, hosts[i]);
+    const double expected = route.ok() ? route->propagation.ToMillisF() : 1e9;
+    EXPECT_EQ(costs[i], expected) << hosts[i];
+  }
+  EXPECT_EQ(costs[hosts.size() - 3], 0.0);
+  EXPECT_EQ(costs[hosts.size() - 2], 1e9);
+  EXPECT_EQ(costs[hosts.size() - 1], 1e9);
+  // An unknown anchor prices every host as unreachable.
+  for (const double ms : mgr.LatencyCostMs("no-anchor", mgr.ResolveHosts(hosts))) {
+    EXPECT_EQ(ms, 1e9);
+  }
+}
+
+TEST(NetworkManager, NearestNodeBreaksTiesByIdOrder) {
+  net::Topology topo;
+  topo.AddBidirectional("gw", "n-b", sim::SimTime::Millis(1), 1e9);
+  topo.AddBidirectional("gw", "n-a", sim::SimTime::Millis(1), 1e9);
+  topo.AddBidirectional("gw", "n-c", sim::SimTime::Millis(3), 1e9);
+  NetworkManager mgr(topo);
+  auto nearest = mgr.NearestNode("gw", {"n-c", "n-b", "n-a"});
+  ASSERT_TRUE(nearest.ok());
+  EXPECT_EQ(*nearest, "n-a");
 }
 
 TEST(SecurityManager, TrustDecaysOnFailuresAndRecovers) {

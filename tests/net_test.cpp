@@ -2,12 +2,19 @@
 // MQTT-style broker.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
+#include <queue>
+#include <string>
+#include <vector>
 
+#include "continuum/infrastructure.hpp"
 #include "net/pubsub.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace myrtus::net {
 namespace {
@@ -82,6 +89,169 @@ TEST(Topology, MinBandwidthAlongRoute) {
   auto route = t.FindRoute("a", "c");
   ASSERT_TRUE(route.ok());
   EXPECT_DOUBLE_EQ(route->min_bandwidth_bps, 1e6);
+}
+
+// Eager all-pairs routing written against the public API: one Dijkstra per
+// source (same heap order and tie-breaks as Topology's rows) filling a full
+// first-link table, then the same first-hop walk. Topology's lazy rows must
+// agree with it on every ordered pair.
+class EagerRoutes {
+ public:
+  explicit EagerRoutes(const Topology& t) : t_(t) {
+    const std::size_t n = t.host_count();
+    std::vector<std::vector<std::size_t>> out(n);
+    std::vector<std::size_t> to(t.link_count());
+    for (std::size_t li = 0; li < t.link_count(); ++li) {
+      out[Index(t.link(li).from)].push_back(li);
+      to[li] = Index(t.link(li).to);
+    }
+    next_.assign(n, std::vector<std::int32_t>(n, -1));
+    dist_.assign(n, std::vector<std::int64_t>(
+                        n, std::numeric_limits<std::int64_t>::max()));
+    for (std::size_t src = 0; src < n; ++src) {
+      std::vector<std::int64_t>& dist = dist_[src];
+      std::vector<std::int32_t>& first = next_[src];
+      using QItem = std::pair<std::int64_t, std::size_t>;
+      std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
+      dist[src] = 0;
+      pq.emplace(0, src);
+      while (!pq.empty()) {
+        const auto [d, u] = pq.top();
+        pq.pop();
+        if (d != dist[u]) continue;
+        for (const std::size_t li : out[u]) {
+          if (!t.IsLinkUp(li)) continue;
+          const std::size_t v = to[li];
+          const std::int64_t nd = d + t.link(li).latency.ns;
+          if (nd < dist[v]) {
+            dist[v] = nd;
+            first[v] = u == src ? static_cast<std::int32_t>(li) : first[u];
+            pq.emplace(nd, v);
+          }
+        }
+      }
+    }
+  }
+
+  util::StatusOr<Route> FindRoute(std::size_t from, std::size_t dst) const {
+    if (from == dst) return Route{};
+    Route route;
+    route.min_bandwidth_bps = std::numeric_limits<double>::max();
+    std::size_t cur = from;
+    for (std::size_t step = 0; step <= t_.host_count() && cur != dst; ++step) {
+      const std::int32_t li = next_[cur][dst];
+      if (li < 0) break;
+      const Link& l = t_.link(static_cast<std::size_t>(li));
+      route.link_indices.push_back(static_cast<std::size_t>(li));
+      route.propagation += l.latency;
+      route.min_bandwidth_bps = std::min(route.min_bandwidth_bps, l.bandwidth_bps);
+      cur = Index(l.to);
+    }
+    if (cur == dst) return route;
+    return util::Status::NotFound("no route");
+  }
+
+  std::int64_t DistanceNs(std::size_t from, std::size_t dst) const {
+    return dist_[from][dst];
+  }
+
+ private:
+  std::size_t Index(const HostId& id) const { return *t_.HostIndex(id); }
+
+  const Topology& t_;
+  std::vector<std::vector<std::int32_t>> next_;
+  std::vector<std::vector<std::int64_t>> dist_;
+};
+
+// Every ordered pair: identical route (links, propagation, bandwidth) and a
+// distance row equal to the walked propagation, max() where unreachable.
+void ExpectMatchesEagerRoutes(const Topology& t) {
+  const EagerRoutes eager(t);
+  const std::vector<HostId>& hosts = t.hosts();
+  std::size_t reachable = 0;
+  for (std::size_t a = 0; a < hosts.size(); ++a) {
+    for (std::size_t b = 0; b < hosts.size(); ++b) {
+      const auto want = eager.FindRoute(a, b);
+      const auto got = t.FindRoute(hosts[a], hosts[b]);
+      ASSERT_EQ(got.ok(), want.ok()) << hosts[a] << " -> " << hosts[b];
+      const std::int64_t row_ns = t.DistanceRowNs(a)[b];
+      if (!got.ok()) {
+        EXPECT_EQ(row_ns, std::numeric_limits<std::int64_t>::max());
+        EXPECT_EQ(eager.DistanceNs(a, b), row_ns);
+        continue;
+      }
+      ++reachable;
+      EXPECT_EQ(got->link_indices, want->link_indices) << hosts[a] << " -> " << hosts[b];
+      EXPECT_EQ(got->propagation, want->propagation);
+      EXPECT_EQ(got->min_bandwidth_bps, want->min_bandwidth_bps);
+      EXPECT_EQ(row_ns, got->propagation.ns) << hosts[a] << " -> " << hosts[b];
+    }
+  }
+  EXPECT_GT(reachable, hosts.size());
+}
+
+// Toggles every `stride`-th link down, checks, brings them back, checks.
+void ExpectMatchesAcrossLinkToggles(Topology& t, std::size_t stride) {
+  ExpectMatchesEagerRoutes(t);
+  for (std::size_t li = 0; li < t.link_count(); li += stride) t.SetLinkUp(li, false);
+  ExpectMatchesEagerRoutes(t);
+  for (std::size_t li = 0; li < t.link_count(); li += stride) t.SetLinkUp(li, true);
+  ExpectMatchesEagerRoutes(t);
+}
+
+TEST(Topology, LazyRowsMatchEagerRoutesOnInfrastructure) {
+  sim::Engine engine;
+  continuum::InfrastructureSpec spec;
+  spec.edge_hmpsoc = 8;
+  spec.edge_riscv = 8;
+  spec.edge_multicore = 8;
+  spec.gateways = 2;
+  spec.fmdcs = 2;
+  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, spec);
+  Topology& t = infra.topology;
+  ExpectMatchesAcrossLinkToggles(t, 3);
+  // A new shortcut must reroute every pair it shortens.
+  t.AddBidirectional("edge-0", "cloud-0", SimTime::Millis(1), 5e6);
+  ExpectMatchesEagerRoutes(t);
+}
+
+TEST(Topology, LazyRowsMatchEagerRoutesOnRandomGraphWithTies) {
+  util::Rng rng(15, "route-differential");
+  for (int graph = 0; graph < 6; ++graph) {
+    Topology t;
+    const std::size_t n = 12 + rng.NextBounded(20);
+    for (std::size_t i = 0; i < n; ++i) t.AddHost("h" + std::to_string(i));
+    t.AddHost("island");
+    // Latencies from {1, 2, 3} ms make equal-length paths common; some
+    // links are one-way.
+    for (std::size_t e = 0; e < 3 * n; ++e) {
+      const std::string a = "h" + std::to_string(rng.NextBounded(n));
+      const std::string b = "h" + std::to_string(rng.NextBounded(n));
+      if (a == b) continue;
+      const SimTime latency = SimTime::Millis(1 + static_cast<std::int64_t>(rng.NextBounded(3)));
+      const double bandwidth = 1e6 * static_cast<double>(1 + rng.NextBounded(4));
+      if (rng.NextBool(0.3)) {
+        t.AddLink(Link{a, b, latency, bandwidth, 0.0, {}});
+      } else {
+        t.AddBidirectional(a, b, latency, bandwidth);
+      }
+    }
+    ExpectMatchesAcrossLinkToggles(t, 2 + rng.NextBounded(3));
+    t.AddLink(Link{"h0", "island", SimTime::Millis(1), 1e6, 0.0, {}});
+    ExpectMatchesEagerRoutes(t);
+  }
+}
+
+TEST(Topology, DistanceRowIsZeroAtSourceAndMaxWhenUnreachable) {
+  Topology t = LineTopology();
+  t.AddHost("island");
+  const std::size_t edge = *t.HostIndex("edge");
+  const std::vector<std::int64_t>& row = t.DistanceRowNs(edge);
+  ASSERT_EQ(row.size(), t.host_count());
+  EXPECT_EQ(row[edge], 0);
+  EXPECT_EQ(row[*t.HostIndex("cloud")], SimTime::Millis(11).ns);
+  EXPECT_EQ(row[*t.HostIndex("island")], std::numeric_limits<std::int64_t>::max());
+  EXPECT_FALSE(t.HostIndex("mars").has_value());
 }
 
 TEST(Network, DeliversWithExpectedLatency) {

@@ -2,7 +2,13 @@
 // PSO/ACO), and FREVO-style rule evolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <string>
 
 #include "swarm/placement.hpp"
 #include "swarm/pso.hpp"
@@ -127,6 +133,110 @@ TEST(Placement, CostPenalizesOverCommit) {
   EXPECT_GT(p.Cost({0, 0}), p.Cost({0, 1}) * 100);
   EXPECT_TRUE(p.Feasible({0, 1}));
   EXPECT_FALSE(p.Feasible({0, 0}));
+}
+
+// The O(T·N²) greedy SolveGreedy must reproduce: every candidate scored by a
+// full Cost of the partial assignment, strict-< argmin in node order.
+PlacementSolution ReferenceGreedy(const PlacementProblem& problem) {
+  PlacementSolution sol;
+  sol.assignment.assign(problem.tasks.size(), -1);
+  std::vector<std::size_t> order(problem.tasks.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return problem.tasks[a].cpu > problem.tasks[b].cpu;
+  });
+  for (const std::size_t t : order) {
+    double best_cost = std::numeric_limits<double>::infinity();
+    int best_node = -1;
+    for (std::size_t n = 0; n < problem.nodes.size(); ++n) {
+      ++sol.evaluations;
+      std::vector<int> probe = sol.assignment;
+      probe[t] = static_cast<int>(n);
+      const double cost = problem.Cost(probe);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_node = static_cast<int>(n);
+      }
+    }
+    sol.assignment[t] = best_node;
+  }
+  sol.cost = problem.Cost(sol.assignment);
+  return sol;
+}
+
+// Random problems aimed at the greedy's hard cases: nodes cloned from a few
+// templates (exact ties everywhere), zero and negative capacities, capacity
+// and memory overruns, security and accelerator infeasibility, more tasks
+// than nodes, equal task sizes, and empty node lists.
+PlacementProblem RandomGreedyProblem(util::Rng& rng) {
+  PlacementProblem p;
+  p.energy_weight = rng.NextBool(0.2) ? 0.0 : rng.Uniform(0.1, 2.0);
+  p.latency_weight = rng.NextBool(0.2) ? 0.0 : rng.Uniform(0.1, 2.0);
+  p.balance_weight = rng.NextBool(0.2) ? 0.0 : rng.Uniform(0.05, 1.0);
+  std::vector<PlacementNode> templates(1 + rng.NextBounded(4));
+  for (PlacementNode& n : templates) {
+    switch (rng.NextBounded(5)) {
+      case 0: n.cpu_capacity = 0.0; break;
+      case 1: n.cpu_capacity = -rng.Uniform(0.5, 4.0); break;
+      default: n.cpu_capacity = rng.Uniform(0.5, 8.0); break;
+    }
+    switch (rng.NextBounded(5)) {
+      case 0: n.mem_capacity_mb = 0.0; break;
+      case 1: n.mem_capacity_mb = -64.0; break;
+      default: n.mem_capacity_mb = rng.Uniform(64, 4096); break;
+    }
+    n.security_level = static_cast<int>(rng.NextBounded(3));
+    n.has_accelerator = rng.NextBool(0.4);
+    n.power_mw_per_cpu = rng.NextBool(0.3) ? 0.0 : rng.Uniform(50, 900);
+    n.latency_to_consumer_ms = rng.NextBool(0.1) ? 1e9 : rng.Uniform(0, 30);
+  }
+  const std::size_t node_count = rng.NextBounded(8) == 0 ? 0 : rng.NextBounded(40);
+  for (std::size_t i = 0; i < node_count; ++i) {
+    p.nodes.push_back(templates[rng.NextBounded(templates.size())]);
+    p.nodes.back().id = "n" + std::to_string(i);
+  }
+  const std::size_t task_count = 1 + rng.NextBounded(node_count + 12);
+  for (std::size_t i = 0; i < task_count; ++i) {
+    PlacementTask task;
+    task.cpu = rng.NextBool(0.4) ? 0.5 * static_cast<double>(1 + rng.NextBounded(4))
+                                 : rng.Uniform(0.0, 6.0);
+    task.mem_mb = rng.Uniform(0, 2048);
+    task.min_security = static_cast<int>(rng.NextBounded(3));
+    task.needs_accelerator = rng.NextBool(0.3);
+    task.traffic_kbps = rng.NextBool(0.2) ? 0.0 : rng.Uniform(0, 500);
+    p.tasks.push_back(task);
+  }
+  return p;
+}
+
+TEST(Placement, GreedyMatchesFullCostReferenceBitForBit) {
+  util::Rng rng(2024, "greedy-equivalence");
+  int empty_fleets = 0;
+  int more_tasks_than_nodes = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const PlacementProblem p = RandomGreedyProblem(rng);
+    if (p.nodes.empty()) ++empty_fleets;
+    if (p.tasks.size() > p.nodes.size()) ++more_tasks_than_nodes;
+    const PlacementSolution expected = ReferenceGreedy(p);
+    const PlacementSolution got = SolveGreedy(p);
+    ASSERT_EQ(got.assignment, expected.assignment) << "trial " << trial;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.cost),
+              std::bit_cast<std::uint64_t>(expected.cost))
+        << "trial " << trial << ": " << got.cost << " vs " << expected.cost;
+    ASSERT_EQ(got.evaluations, expected.evaluations) << "trial " << trial;
+  }
+  // The generator must actually reach the degenerate shapes.
+  EXPECT_GT(empty_fleets, 10);
+  EXPECT_GT(more_tasks_than_nodes, 50);
+}
+
+TEST(Placement, GreedyTiesGoToTheLowestNodeIndex) {
+  PlacementProblem p;
+  p.tasks = {{1.0, 100, 1, false, 10}};
+  p.nodes.assign(5, {"n", 4.0, 1024, 1, false, 100, 5});
+  p.nodes[0].security_level = 0;  // too weak; nodes 1-4 tie exactly
+  const PlacementSolution s = SolveGreedy(p);
+  EXPECT_EQ(s.assignment, std::vector<int>{1});
 }
 
 TEST(Rules, TableSizeAndIndexing) {
