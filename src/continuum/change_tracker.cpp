@@ -4,29 +4,21 @@ namespace myrtus::continuum {
 
 namespace {
 constexpr std::size_t kWordBits = 64;
+
+void MarkBit(std::vector<std::uint64_t>& bits, std::size_t i) {
+  if (bits.size() <= i / kWordBits) bits.resize(i / kWordBits + 1, 0);
+  bits[i / kWordBits] |= 1ULL << (i % kWordBits);
+}
 }  // namespace
 
 int ChangeTracker::AddListener(const NodeList& nodes) {
   Sync(nodes);
   const int id = static_cast<int>(listeners_.size());
-  Listener listener;
-  listener.dirty.assign((synced_ + kWordBits - 1) / kWordBits, 0);
+  std::vector<std::uint64_t> dirty((synced_ + kWordBits - 1) / kWordBits, 0);
   // A fresh observer has seen nothing: every tracked node starts dirty.
-  for (std::size_t i = 0; i < synced_; ++i) {
-    listener.dirty[i / kWordBits] |= 1ULL << (i % kWordBits);
-  }
-  listeners_.push_back(std::move(listener));
+  for (std::size_t i = 0; i < synced_; ++i) MarkBit(dirty, i);
+  listeners_.push_back(std::move(dirty));
   return id;
-}
-
-void ChangeTracker::RemoveListener(int listener) {
-  if (listener < 0 || static_cast<std::size_t>(listener) >= listeners_.size()) {
-    return;
-  }
-  Listener& l = listeners_[static_cast<std::size_t>(listener)];
-  l.active = false;
-  l.dirty.clear();
-  l.dirty.shrink_to_fit();
 }
 
 void ChangeTracker::Sync(const NodeList& nodes) {
@@ -37,25 +29,13 @@ void ChangeTracker::Sync(const NodeList& nodes) {
     energy_mj_ += node->total_energy_mj();
     node->SetChangeHook(
         [this, i](double energy_delta_mj) { OnChange(i, energy_delta_mj); });
-    for (Listener& listener : listeners_) {
-      if (!listener.active) continue;
-      if (listener.dirty.size() <= i / kWordBits) {
-        listener.dirty.resize(i / kWordBits + 1, 0);
-      }
-      listener.dirty[i / kWordBits] |= 1ULL << (i % kWordBits);
-    }
+    for (std::vector<std::uint64_t>& dirty : listeners_) MarkBit(dirty, i);
   }
 }
 
 void ChangeTracker::OnChange(std::size_t index, double energy_delta_mj) {
   energy_mj_ += energy_delta_mj;
-  for (Listener& listener : listeners_) {
-    if (!listener.active) continue;
-    if (listener.dirty.size() <= index / kWordBits) {
-      listener.dirty.resize(index / kWordBits + 1, 0);
-    }
-    listener.dirty[index / kWordBits] |= 1ULL << (index % kWordBits);
-  }
+  for (std::vector<std::uint64_t>& dirty : listeners_) MarkBit(dirty, index);
 }
 
 void ChangeTracker::Drain(const NodeList& nodes, int listener,
@@ -64,9 +44,8 @@ void ChangeTracker::Drain(const NodeList& nodes, int listener,
   if (listener < 0 || static_cast<std::size_t>(listener) >= listeners_.size()) {
     return;
   }
-  Listener& l = listeners_[static_cast<std::size_t>(listener)];
-  if (!l.active) return;
-  std::vector<std::uint64_t>& dirty = l.dirty;
+  std::vector<std::uint64_t>& dirty =
+      listeners_[static_cast<std::size_t>(listener)];
   for (std::size_t w = 0; w < dirty.size(); ++w) {
     std::uint64_t word = dirty[w];
     while (word != 0) {
@@ -87,11 +66,7 @@ void ChangeTracker::MarkDirtyById(const NodeList& nodes,
   }
   const auto it = id_to_index_.find(node_id);
   if (it == id_to_index_.end()) return;
-  Listener& l = listeners_[static_cast<std::size_t>(listener)];
-  if (!l.active) return;
-  const std::size_t i = it->second;
-  if (l.dirty.size() <= i / kWordBits) l.dirty.resize(i / kWordBits + 1, 0);
-  l.dirty[i / kWordBits] |= 1ULL << (i % kWordBits);
+  MarkBit(listeners_[static_cast<std::size_t>(listener)], it->second);
 }
 
 double ChangeTracker::TotalEnergyMj(const NodeList& nodes) {

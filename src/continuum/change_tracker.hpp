@@ -28,12 +28,8 @@ class ChangeTracker {
   using NodeList = std::vector<std::unique_ptr<ComputeNode>>;
 
   /// Registers a listener; every already-tracked node starts dirty for it
-  /// (a new observer has seen nothing yet). Listener ids are never reused.
+  /// (a new observer has seen nothing yet).
   int AddListener(const NodeList& nodes);
-
-  /// Deactivates a listener: its bitmap is released and mutation events stop
-  /// fanning out to it. The id stays retired forever (never reused).
-  void RemoveListener(int listener);
 
   /// Appends the indices of nodes dirty for `listener` (ascending — node
   /// insertion order, matching a full walk) and clears its bitmap. Newly
@@ -60,14 +56,10 @@ class ChangeTracker {
   void Sync(const NodeList& nodes);
   void OnChange(std::size_t index, double energy_delta_mj);
 
-  struct Listener {
-    std::vector<std::uint64_t> dirty;  // bitmap over node indices
-    bool active = true;
-  };
-
   std::size_t synced_ = 0;
   double energy_mj_ = 0.0;
-  std::vector<Listener> listeners_;
+  // One dirty bitmap over node indices per listener, indexed by listener id.
+  std::vector<std::vector<std::uint64_t>> listeners_;
   std::unordered_map<std::string, std::size_t> id_to_index_;
 };
 

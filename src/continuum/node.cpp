@@ -75,10 +75,9 @@ std::size_t ComputeNode::BestDeviceFor(const TaskDemand& demand) const {
 void ComputeNode::Submit(const TaskDemand& demand, std::size_t device_index,
                          CompletionFn done) {
   if (!up_ || device_index >= devices_.size()) {
-    // Report an infinite-latency failure marker by never calling back would
-    // deadlock callers; instead deliver a zero-service report with the node
-    // marked down via `node_id` suffix. Callers check node state first; this
-    // is a defensive path.
+    // Returns without calling `done`: no report is sent, so a caller that
+    // did not check node state first never hears back (ROADMAP item 2 turns
+    // this into an explicit error completion).
     return;
   }
   const ExecutionEstimate est = devices_[device_index].Estimate(demand);

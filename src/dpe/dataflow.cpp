@@ -43,11 +43,6 @@ util::Status DataflowGraph::AddChannel(Channel channel) {
   return util::Status::Ok();
 }
 
-const Actor* DataflowGraph::FindActor(const std::string& name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &actors_[it->second];
-}
-
 std::size_t DataflowGraph::ActorIndex(const std::string& name) const {
   return index_.at(name);
 }

@@ -41,7 +41,6 @@ class DataflowGraph {
 
   [[nodiscard]] const std::vector<Actor>& actors() const { return actors_; }
   [[nodiscard]] const std::vector<Channel>& channels() const { return channels_; }
-  [[nodiscard]] const Actor* FindActor(const std::string& name) const;
   [[nodiscard]] std::size_t ActorIndex(const std::string& name) const;
 
   /// Solves the SDF balance equations. Returns the repetition vector

@@ -9,12 +9,9 @@ namespace {
 void ApplyCommand(Store& store, const util::Json& cmd) {
   const std::string op = cmd.at("op").as_string();
   if (op == "put") {
-    store.Put(cmd.at("key").as_string(), cmd.at("value"),
-              cmd.at("lease").as_int(0));
+    store.Put(cmd.at("key").as_string(), cmd.at("value"));
   } else if (op == "del") {
     store.Delete(cmd.at("key").as_string());
-  } else if (op == "expire") {
-    store.ExpireLeases(cmd.at("now_ns").as_int());
   }
 }
 
@@ -102,11 +99,6 @@ int KbCluster::LeaderIndex() const {
   return -1;
 }
 
-Store* KbCluster::LeaderStore() {
-  const int i = LeaderIndex();
-  return i < 0 ? nullptr : replicas_[static_cast<std::size_t>(i)].store.get();
-}
-
 KbClient::KbClient(net::Network& network, KbCluster& cluster, net::HostId origin)
     : network_(network),
       cluster_(cluster),
@@ -168,6 +160,7 @@ void KbClient::ProposeWithRetry(util::Json command, DoneCallback done,
 }
 
 void KbClient::Put(const std::string& key, util::Json value, DoneCallback done) {
+  // "lease" is unread, but its bytes feed every Raft message's simulated delay.
   util::Json cmd = util::Json::MakeObject()
                        .Set("op", "put")
                        .Set("key", key)

@@ -38,8 +38,6 @@ class KbCluster {
 
   /// Index of the current leader, or -1 when no leader is established.
   [[nodiscard]] int LeaderIndex() const;
-  /// Convenience: the leader's store (nullptr without a leader).
-  [[nodiscard]] Store* LeaderStore();
 
   /// Crash/recover by replica index (failure injection).
   void Crash(std::size_t i) { replicas_[i].raft->Crash(); }

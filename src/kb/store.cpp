@@ -4,8 +4,7 @@
 
 namespace myrtus::kb {
 
-std::int64_t Store::Put(const std::string& key, util::Json value,
-                        std::int64_t lease_id) {
+std::int64_t Store::Put(const std::string& key, util::Json value) {
   ++revision_;
   KeyValue& kv = data_[key];
   if (kv.create_revision == 0) {
@@ -15,7 +14,6 @@ std::int64_t Store::Put(const std::string& key, util::Json value,
   kv.value = std::move(value);
   kv.mod_revision = revision_;
   kv.version += 1;
-  kv.lease_id = lease_id;
   Notify(WatchEvent{WatchEvent::Type::kPut, kv});
   return revision_;
 }
@@ -65,47 +63,6 @@ void Store::Notify(const WatchEvent& event) {
       w.cb(event);
     }
   }
-}
-
-std::int64_t Store::GrantLease(std::int64_t expiry_ns) {
-  const std::int64_t id = next_lease_id_++;
-  leases_[id] = expiry_ns;
-  return id;
-}
-
-bool Store::RenewLease(std::int64_t lease_id, std::int64_t new_expiry_ns) {
-  const auto it = leases_.find(lease_id);
-  if (it == leases_.end()) return false;
-  it->second = new_expiry_ns;
-  return true;
-}
-
-bool Store::RevokeLease(std::int64_t lease_id) {
-  if (leases_.erase(lease_id) == 0) return false;
-  for (auto& [key, kv] : data_) {
-    if (kv.lease_id == lease_id) kv.lease_id = 0;
-  }
-  return true;
-}
-
-std::size_t Store::ExpireLeases(std::int64_t now_ns) {
-  std::vector<std::int64_t> expired;
-  for (const auto& [id, expiry] : leases_) {
-    if (expiry <= now_ns) expired.push_back(id);
-  }
-  std::size_t removed = 0;
-  for (const std::int64_t id : expired) {
-    leases_.erase(id);
-    std::vector<std::string> doomed;
-    for (const auto& [key, kv] : data_) {
-      if (kv.lease_id == id) doomed.push_back(key);
-    }
-    for (const std::string& key : doomed) {
-      Delete(key);
-      ++removed;
-    }
-  }
-  return removed;
 }
 
 }  // namespace myrtus::kb

@@ -1,7 +1,7 @@
 // MVCC key-value store — the applied state machine behind the MYRTUS
 // Knowledge Base. Mirrors etcd's data model (the technology the paper
 // considers, §III fn.3): monotonically increasing store revision, per-key
-// create/mod revisions, prefix range reads, prefix watches, and TTL leases.
+// create/mod revisions, prefix range reads, and prefix watches.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,7 @@ struct KeyValue {
   util::Json value;
   std::int64_t create_revision = 0;
   std::int64_t mod_revision = 0;
-  std::int64_t version = 0;   // per-key update counter
-  std::int64_t lease_id = 0;  // 0 = no lease
+  std::int64_t version = 0;  // per-key update counter
 };
 
 /// A watch event.
@@ -37,8 +36,7 @@ struct WatchEvent {
 class Store {
  public:
   /// Puts a value; returns the new store revision.
-  std::int64_t Put(const std::string& key, util::Json value,
-                   std::int64_t lease_id = 0);
+  std::int64_t Put(const std::string& key, util::Json value);
   /// Deletes a key; returns the new revision, or nullopt if absent.
   std::optional<std::int64_t> Delete(const std::string& key);
   /// Point read.
@@ -56,23 +54,6 @@ class Store {
   std::int64_t Watch(const std::string& prefix, WatchCallback cb);
   void CancelWatch(std::int64_t watch_id);
 
-  /// --- Leases ----------------------------------------------------------
-  /// Creates a lease expiring at `expiry_ns` (simulated clock, interpreted
-  /// by the caller). Returns the lease id.
-  std::int64_t GrantLease(std::int64_t expiry_ns);
-  /// Extends a lease. False if unknown.
-  bool RenewLease(std::int64_t lease_id, std::int64_t new_expiry_ns);
-  /// Deletes all keys attached to leases expiring at or before `now_ns`.
-  /// Returns the number of keys removed.
-  std::size_t ExpireLeases(std::int64_t now_ns);
-  /// Drops a lease without touching its keys: attached keys are detached
-  /// (lease_id → 0), NOT deleted, and no watch events fire — revoking a
-  /// superseded lease must not look like a member failure to watchers.
-  /// False if the lease is unknown.
-  bool RevokeLease(std::int64_t lease_id);
-  /// Number of live (granted, not yet expired/revoked) leases.
-  [[nodiscard]] std::size_t lease_count() const { return leases_.size(); }
-
  private:
   void Notify(const WatchEvent& event);
 
@@ -86,9 +67,6 @@ class Store {
   };
   std::vector<Watcher> watchers_;
   std::int64_t next_watch_id_ = 1;
-
-  std::map<std::int64_t, std::int64_t> leases_;  // id -> expiry_ns
-  std::int64_t next_lease_id_ = 1;
 };
 
 }  // namespace myrtus::kb

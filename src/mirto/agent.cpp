@@ -62,10 +62,9 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
       wl_(cluster, config_.strategy, config_.seed),
       node_(),
       netmgr_(network.topology()),
-      psm_(),
-      monitor_path_(config_.monitor_path) {
+      psm_() {
   // Observability is watch-driven, not poll-only: a component record
-  // vanishing from the registry (e.g. heartbeat-lease expiry) marks the
+  // vanishing from the registry (an explicit removal) marks the
   // fleet dirty for the next MAPE Analyze pass, and any external write under
   // /registry/nodes/ is mirrored into the change-tracker dirty set so the
   // incremental Monitor re-observes that node. The agent's own registry
@@ -112,25 +111,6 @@ MirtoAgent::MirtoAgent(net::Network& network, sched::Cluster& cluster,
       [this](const std::string&, const telemetry::SloStatus&, bool breached) {
         if (breached) ++stats_.slo_breaches;
       });
-}
-
-void MirtoAgent::set_monitor_path(MonitorPath path) {
-  if (path == monitor_path_) return;
-  monitor_path_ = path;
-  // Reset the incremental caches on every switch. Entering kIncremental
-  // registers a fresh listener lazily — all nodes start dirty for it, so the
-  // first incremental iteration re-observes the entire fleet.
-  if (tracker_listener_ >= 0) {
-    infra_.change_tracker().RemoveListener(tracker_listener_);
-    tracker_listener_ = -1;
-  }
-  observed_up_.clear();
-  observed_up_count_ = 0;
-  down_nodes_.clear();
-  healing_nodes_.clear();
-  plan_crossings_ = {};
-  plan_queued_cross_ns_.clear();
-  iter_dirty_.clear();
 }
 
 void MirtoAgent::EnsureTrackerListener() {
@@ -396,7 +376,7 @@ void MirtoAgent::ObserveNode(std::size_t index, std::int64_t now_ns) {
 void MirtoAgent::Monitor() {
   telemetry::ScopedSpan span("mape.monitor", "mirto");
   const std::int64_t now_ns = network_.engine().Now().ns;
-  if (monitor_path_ == MonitorPath::kFull) {
+  if (config_.monitor_path == MonitorPath::kFull) {
     MonitorFull(now_ns);
   } else {
     MonitorIncremental(now_ns);
@@ -438,7 +418,7 @@ void MirtoAgent::FlushPodStartWaits(std::int64_t now_ns) {
     slo_.RecordLatencyMs("pod.start_wait", wait_ms, now_ns);
   }
   bound_waits_.clear();
-  if (monitor_path_ == MonitorPath::kFull) {
+  if (config_.monitor_path == MonitorPath::kFull) {
     for (const auto& [pod_name, track] : pending_pods_) {
       const double age_ms =
           static_cast<double>(now_ns - track.created_ns) / 1e6;
@@ -475,7 +455,7 @@ void MirtoAgent::Analyze() {
   telemetry::ScopedSpan span("mape.analyze", "mirto");
   reallocation_needed_ = failure_signal_;
   failure_signal_ = false;
-  if (monitor_path_ == MonitorPath::kFull) {
+  if (config_.monitor_path == MonitorPath::kFull) {
     AnalyzeFullTrust();
   } else {
     AnalyzeIncrementalTrust();
@@ -574,7 +554,7 @@ void MirtoAgent::EvaluateAndPublishSlos(telemetry::ScopedSpan& span,
 void MirtoAgent::Plan() {
   telemetry::ScopedSpan span("mape.plan", "mirto");
   planned_points_.clear();
-  if (monitor_path_ == MonitorPath::kFull) {
+  if (config_.monitor_path == MonitorPath::kFull) {
     PlanFull();
   } else {
     PlanIncremental(network_.engine().Now().ns);

@@ -9,10 +9,10 @@
 // drains the infrastructure ChangeTracker and visits only nodes that mutated
 // since the previous iteration, Analyze touches only down/healing nodes, and
 // Plan only dirty nodes plus those whose decaying utilization is predicted to
-// cross the eco-point threshold. The historical full-walk path is kept behind
-// set_monitor_path(MonitorPath::kFull) and is differentially tested to
-// produce byte-identical registry records, SLO states, trust scores, and
-// planned decisions.
+// cross the eco-point threshold. The historical full-walk path, chosen once
+// through AgentConfig::monitor_path = MonitorPath::kFull, is the reference
+// the incremental path is differentially tested against: byte-identical
+// registry records, SLO states, trust scores, and planned decisions.
 #pragma once
 
 #include <cstdint>
@@ -119,11 +119,9 @@ class MirtoAgent {
   /// One MAPE-K iteration (also invoked by the periodic loop).
   void RunMapeIteration();
 
-  /// Switches between the full-walk and incremental observation paths. Safe
-  /// mid-run: the incremental caches are rebuilt (all nodes re-observed) on
-  /// the first iteration after switching to kIncremental.
-  void set_monitor_path(MonitorPath path);
-  [[nodiscard]] MonitorPath monitor_path() const { return monitor_path_; }
+  [[nodiscard]] MonitorPath monitor_path() const {
+    return config_.monitor_path;
+  }
 
   [[nodiscard]] const AgentStats& stats() const { return stats_; }
   [[nodiscard]] WlManager& wl_manager() { return wl_; }
@@ -192,7 +190,7 @@ class MirtoAgent {
   sim::EventHandle loop_;
   bool reallocation_needed_ = false;
   // Set asynchronously by the KB watch when a component record disappears
-  // (lease expiry / explicit removal); consumed by the next Analyze pass.
+  // (an explicit removal); consumed by the next Analyze pass.
   bool failure_signal_ = false;
   std::int64_t registry_watch_ = 0;
   std::vector<NodeManager::Decision> planned_points_;
@@ -207,7 +205,6 @@ class MirtoAgent {
   telemetry::SloEngine slo_;
 
   /// --- Incremental observation state -------------------------------------
-  MonitorPath monitor_path_;
   int tracker_listener_ = -1;
   // True while the agent itself writes /registry/nodes/ records, so the KB
   // watch does not mirror its own writes back into the dirty set.

@@ -126,15 +126,6 @@ double CircuitBreaker::FailureRate() const {
          static_cast<double>(outcomes_.size());
 }
 
-std::string_view BreakerStateName(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed: return "closed";
-    case CircuitBreaker::State::kOpen: return "open";
-    case CircuitBreaker::State::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
 /// --- Network::CallWithRetry ---------------------------------------------
 /// Lives here (not transport.cpp) so the retry loop, its telemetry, and the
 /// breaker bookkeeping stay one readable unit.

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <string_view>
 
 #include "sim/time.hpp"
 #include "util/rng.hpp"
@@ -107,7 +106,5 @@ class CircuitBreaker {
   std::uint64_t opens_ = 0;
   std::uint64_t rejections_ = 0;
 };
-
-std::string_view BreakerStateName(CircuitBreaker::State state);
 
 }  // namespace myrtus::net

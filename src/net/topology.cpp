@@ -30,10 +30,6 @@ void Topology::AddBidirectional(const HostId& a, const HostId& b,
   AddLink(Link{b, a, latency, bandwidth_bps, loss_rate, jitter});
 }
 
-bool Topology::HasHost(const HostId& id) const {
-  return host_index_.count(id) > 0;
-}
-
 void Topology::SetLinkUp(std::size_t index, bool up) {
   if (index < link_up_.size() && link_up_[index] != up) {
     link_up_[index] = up;

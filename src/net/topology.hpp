@@ -49,7 +49,6 @@ class Topology {
                         double bandwidth_bps, double loss_rate = 0.0,
                         sim::SimTime jitter = {});
 
-  [[nodiscard]] bool HasHost(const HostId& id) const;
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] const Link& link(std::size_t index) const { return links_[index]; }

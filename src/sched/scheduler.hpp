@@ -105,7 +105,6 @@ class Scheduler {
     AddFilter(FilterPlugin{"custom", FilterKind::kOpaque, std::move(f)});
   }
   void AddScorer(ScorePlugin s) { scorers_.push_back(std::move(s)); }
-  void ClearScorers() { scorers_.clear(); }
 
   /// Picks the best feasible node by scanning `nodes`. RESOURCE_EXHAUSTED
   /// when none fits (the result's rejection list explains why, per node).

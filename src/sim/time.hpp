@@ -22,7 +22,6 @@ struct SimTime {
 
   [[nodiscard]] double ToSecondsF() const { return static_cast<double>(ns) * 1e-9; }
   [[nodiscard]] double ToMillisF() const { return static_cast<double>(ns) * 1e-6; }
-  [[nodiscard]] double ToMicrosF() const { return static_cast<double>(ns) * 1e-3; }
 
   /// "12.345ms"-style rendering for traces.
   [[nodiscard]] std::string ToString() const;

@@ -87,17 +87,6 @@ TEST_F(ChangeTrackerTest, MarkDirtyByIdMirrorsWatchEvents) {
   EXPECT_EQ(Drained(listener), (std::vector<std::size_t>{1}));
 }
 
-TEST_F(ChangeTrackerTest, RemovedListenerStopsReceivingEvents) {
-  const int retired = tracker_.AddListener(nodes_);
-  const int live = tracker_.AddListener(nodes_);
-  (void)Drained(retired);
-  (void)Drained(live);
-  tracker_.RemoveListener(retired);
-  nodes_[0]->SetUp(false);
-  EXPECT_TRUE(Drained(retired).empty());
-  EXPECT_EQ(Drained(live), (std::vector<std::size_t>{0}));
-}
-
 TEST_F(ChangeTrackerTest, EnergyTotalTracksTaskCompletions) {
   EXPECT_DOUBLE_EQ(tracker_.TotalEnergyMj(nodes_), 0.0);
   TaskDemand task;

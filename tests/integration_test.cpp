@@ -1,13 +1,10 @@
-// Full-stack integration: the three pillars plus the gateway, monitoring,
-// image registry, and lifecycle management working together over one
-// simulated continuum — the closest thing to the paper's M18 "partial
-// integration of all the pillars' technologies".
+// Full-stack integration: the three pillars plus MIRTO monitoring and
+// lifecycle management working together over one simulated continuum — the
+// closest thing to the paper's M18 "partial integration of all the pillars'
+// technologies".
 #include <gtest/gtest.h>
 
-#include "continuum/monitor.hpp"
 #include "mirto/engine.hpp"
-#include "net/gateway.hpp"
-#include "sched/image_registry.hpp"
 #include "usecases/scenario.hpp"
 
 namespace myrtus {
@@ -17,7 +14,7 @@ using continuum::Layer;
 using sim::SimTime;
 
 TEST(Integration, FullStackLifecycle) {
-  // ---- Pillar 1: infrastructure, network, gateway, monitoring, registry.
+  // ---- Pillar 1: infrastructure and network.
   sim::Engine engine;
   continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
   net::Topology topo = infra.topology;
@@ -25,14 +22,6 @@ TEST(Integration, FullStackLifecycle) {
   net::Network network(engine, std::move(topo), 2026);
 
   kb::Store kb_store;
-  kb::ResourceRegistry registry(kb_store);
-  continuum::MonitoringService monitor(engine, infra, registry);
-  monitor.Start(SimTime::Millis(200));
-
-  sched::ImageRegistry images;
-  const util::Bytes base_layer = util::BytesOf(std::string(1 << 16, 'L'));
-  ASSERT_TRUE(images.Push("myrtus/telerehab", "v1",
-                          {base_layer, util::BytesOf("pose-v1")}).ok());
 
   // ---- Pillar 3: DPE designs the application from the scenario model.
   usecases::Scenario scenario = usecases::TelerehabScenario();
@@ -65,19 +54,6 @@ TEST(Integration, FullStackLifecycle) {
   ASSERT_GT(pods_v1, 0u);
   ASSERT_EQ(agent.DeployedApps(), std::vector<std::string>{"telerehab"});
 
-  // Image pulls for each hosting node dedup the shared base layer.
-  std::set<std::string> hosting_nodes;
-  for (const auto& [name, record] : agent.registry().ListWorkloads()) {
-    hosting_nodes.insert(record.at("node").as_string());
-  }
-  std::uint64_t transferred = 0;
-  for (const std::string& node : hosting_nodes) {
-    auto receipt = images.Pull("myrtus/telerehab:v1", node);
-    ASSERT_TRUE(receipt.ok());
-    transferred += receipt->bytes_transferred;
-  }
-  EXPECT_GT(transferred, 0u);
-
   // ---- Update in place (CH2: dynamic update): re-deploying the same app
   // replaces its pods rather than duplicating them.
   bool updated = false;
@@ -90,7 +66,7 @@ TEST(Integration, FullStackLifecycle) {
   ASSERT_TRUE(updated);
   EXPECT_EQ(cluster.RunningPods(), pods_v1) << "update must not duplicate pods";
 
-  // ---- Run traffic; the monitor sees utilization; KB fills up.
+  // ---- Run traffic; the MIRTO Monitor writes utilization telemetry to the KB.
   sched::Cluster stage_cluster(engine, sched::Scheduler::Default());
   for (auto& n : infra.nodes) stage_cluster.AddNode(n.get());
   ASSERT_TRUE(usecases::DeployScenario(scenario, stage_cluster, 3).ok());
@@ -98,7 +74,7 @@ TEST(Integration, FullStackLifecycle) {
   pipeline.StartStream(engine.Now() + SimTime::Seconds(3), 9);
   engine.RunUntil(engine.Now() + SimTime::Seconds(5));
   EXPECT_GT(pipeline.kpis().completed, 20u);
-  EXPECT_FALSE(registry.GetTelemetry("edge-1", "utilization").empty());
+  EXPECT_FALSE(agent.registry().GetTelemetry("edge-1", "utilization").empty());
 
   // ---- Undeploy through the API; the registry forgets the workloads.
   bool undeployed = false;
@@ -126,51 +102,6 @@ TEST(Integration, FullStackLifecycle) {
   engine.RunUntil(engine.Now() + SimTime::Seconds(1));
   EXPECT_TRUE(second_failed);
   agent.Stop();
-  monitor.Stop();
-}
-
-TEST(Integration, GatewayFeedsMonitoredContinuum) {
-  // Sensors -> gateway aggregation -> fog analytics host, while monitoring
-  // watches the fleet: the §III data-management picture.
-  sim::Engine engine;
-  continuum::Infrastructure infra = continuum::BuildInfrastructure(engine, {});
-  net::Topology topo = infra.topology;
-  for (int s = 0; s < 4; ++s) {
-    topo.AddBidirectional("sensor-" + std::to_string(s), "gw-0",
-                          SimTime::Millis(1), 1e7);
-  }
-  net::Network network(engine, std::move(topo), 77);
-  net::SmartGateway gateway(network, "gw-0");
-  gateway.EnableAggregation("reading", "fmdc-0", SimTime::Millis(250), 32);
-
-  int batches = 0;
-  std::size_t readings = 0;
-  network.Attach("fmdc-0", [&](const net::Message& m) {
-    if (m.kind == "gw.batch") {
-      ++batches;
-      readings += m.payload.at("items").items().size();
-    }
-  });
-
-  // 4 sensors x 25 readings.
-  for (int round = 0; round < 25; ++round) {
-    engine.ScheduleAfter(SimTime::Millis(20 * round), [&network, round] {
-      for (int s = 0; s < 4; ++s) {
-        net::Message m;
-        m.from = "sensor-" + std::to_string(s);
-        m.to = "gw-0";
-        m.kind = "reading";
-        m.protocol = net::Protocol::kCoap;
-        m.payload = util::Json::MakeObject().Set("seq", round);
-        m.body_bytes = 48;
-        util::MustOk(network.Send(std::move(m)));
-      }
-    });
-  }
-  engine.RunUntil(SimTime::Seconds(2));
-  EXPECT_EQ(readings, 100u) << "no reading lost through aggregation";
-  EXPECT_LT(batches, 20) << "batching must compress 100 messages";
-  EXPECT_GT(batches, 0);
 }
 
 TEST(Integration, NegotiatedDeployThenLayerFailover) {

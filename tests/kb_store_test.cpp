@@ -1,4 +1,4 @@
-// MVCC store semantics: revisions, ranges, watches, leases — and the
+// MVCC store semantics: revisions, ranges, watches — and the
 // ResourceRegistry schema on top.
 #include <gtest/gtest.h>
 
@@ -94,28 +94,6 @@ TEST(Store, CancelWatchStopsEvents) {
   s.CancelWatch(id);
   s.Put("/b", util::Json(2));
   EXPECT_EQ(events, 1);
-}
-
-TEST(Store, LeaseExpiryDeletesAttachedKeys) {
-  Store s;
-  const std::int64_t lease = s.GrantLease(1000);
-  s.Put("/ephemeral/a", util::Json(1), lease);
-  s.Put("/ephemeral/b", util::Json(2), lease);
-  s.Put("/durable", util::Json(3));
-  EXPECT_EQ(s.ExpireLeases(500), 0u);   // not yet due
-  EXPECT_EQ(s.ExpireLeases(1000), 2u);  // due
-  EXPECT_FALSE(s.Get("/ephemeral/a").ok());
-  EXPECT_TRUE(s.Get("/durable").ok());
-}
-
-TEST(Store, LeaseRenewalPostponesExpiry) {
-  Store s;
-  const std::int64_t lease = s.GrantLease(1000);
-  s.Put("/k", util::Json(1), lease);
-  EXPECT_TRUE(s.RenewLease(lease, 5000));
-  EXPECT_EQ(s.ExpireLeases(1000), 0u);
-  EXPECT_EQ(s.ExpireLeases(5000), 1u);
-  EXPECT_FALSE(s.RenewLease(lease, 9000));  // gone after expiry
 }
 
 TEST(Registry, NodeRecordRoundtrip) {

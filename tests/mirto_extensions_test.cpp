@@ -1,13 +1,11 @@
 // The paper's "ongoing/under consideration" mechanisms, implemented as
 // extensions: FREVO→DynAA swarm-rule synthesis, FL-federated operating-point
-// prediction, RL-based network-manager offload, and the container image
-// registry.
+// prediction, and RL-based network-manager offload.
 #include <gtest/gtest.h>
 
 #include "dpe/whatif.hpp"
 #include "mirto/op_predictor.hpp"
 #include "mirto/rl.hpp"
-#include "sched/image_registry.hpp"
 
 namespace myrtus {
 namespace {
@@ -180,81 +178,6 @@ TEST(RlOffload, LearnsCongestionDependentRouting) {
       << "clear uplink: go to the cloud";
   EXPECT_EQ(selector.ChooseTarget(0.2, 0.9, /*explore=*/false), 0u)
       << "congested uplink: stay at the gateway";
-}
-
-// --- Container image registry ------------------------------------------------------
-
-using util::BytesOf;
-
-TEST(ImageRegistry, PushPullDedup) {
-  sched::ImageRegistry registry;
-  const util::Bytes base = BytesOf(std::string(4096, 'B'));  // shared base layer
-  ASSERT_TRUE(registry.Push("myrtus/pose", "v1", {base, BytesOf("pose-app-v1")}).ok());
-  ASSERT_TRUE(registry.Push("myrtus/score", "v1", {base, BytesOf("score-app-v1")}).ok());
-  EXPECT_EQ(registry.ListImages().size(), 2u);
-  EXPECT_EQ(registry.unique_layers(), 3u) << "base layer stored once";
-  EXPECT_LT(registry.StoredBytes(), registry.LogicalBytes());
-
-  auto pull1 = registry.Pull("myrtus/pose:v1", "edge-0");
-  ASSERT_TRUE(pull1.ok());
-  EXPECT_EQ(pull1->layers_fetched, 2);
-  EXPECT_EQ(pull1->bytes_deduplicated, 0u);
-
-  // Second image reuses the cached base layer on the same node.
-  auto pull2 = registry.Pull("myrtus/score:v1", "edge-0");
-  ASSERT_TRUE(pull2.ok());
-  EXPECT_EQ(pull2->layers_fetched, 1);
-  EXPECT_EQ(pull2->layers_cached, 1);
-  EXPECT_EQ(pull2->bytes_deduplicated, base.size());
-  EXPECT_TRUE(registry.NodeHasImage("myrtus/score:v1", "edge-0"));
-  EXPECT_FALSE(registry.NodeHasImage("myrtus/score:v1", "edge-1"));
-}
-
-TEST(ImageRegistry, RepeatPullIsFullyCached) {
-  sched::ImageRegistry registry;
-  ASSERT_TRUE(registry.Push("app", "v1", {BytesOf("layer")}).ok());
-  ASSERT_TRUE(registry.Pull("app:v1", "n0").ok());
-  auto again = registry.Pull("app:v1", "n0");
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->bytes_transferred, 0u);
-  registry.EvictNodeCache("n0");
-  auto after_evict = registry.Pull("app:v1", "n0");
-  ASSERT_TRUE(after_evict.ok());
-  EXPECT_GT(after_evict->bytes_transferred, 0u);
-}
-
-TEST(ImageRegistry, ScanHookQuarantinesBadLayers) {
-  sched::ImageRegistry registry;
-  registry.set_scan_hook([](const sched::ImageLayer&, const util::Bytes& content)
-                             -> util::Status {
-    if (util::StringOf(content).find("malware") != std::string::npos) {
-      return util::Status::PermissionDenied("CVE detected");
-    }
-    return util::Status::Ok();
-  });
-  EXPECT_TRUE(registry.Push("clean", "v1", {BytesOf("fine")}).ok());
-  EXPECT_FALSE(registry.Push("dirty", "v1", {BytesOf("fine"), BytesOf("malware!!")}).ok());
-  EXPECT_FALSE(registry.Manifest("dirty:v1").ok()) << "atomic push: nothing stored";
-}
-
-TEST(ImageRegistry, DeleteGarbageCollectsUnreferencedLayers) {
-  sched::ImageRegistry registry;
-  const util::Bytes shared = BytesOf(std::string(1000, 'S'));
-  ASSERT_TRUE(registry.Push("a", "v1", {shared, BytesOf("only-a")}).ok());
-  ASSERT_TRUE(registry.Push("b", "v1", {shared, BytesOf("only-b")}).ok());
-  auto reclaimed = registry.DeleteImage("a:v1");
-  ASSERT_TRUE(reclaimed.ok());
-  EXPECT_EQ(*reclaimed, 6u) << "only 'only-a' reclaimed; shared layer survives";
-  EXPECT_EQ(registry.unique_layers(), 2u);
-  EXPECT_FALSE(registry.DeleteImage("a:v1").ok());
-}
-
-TEST(ImageRegistry, RejectsMalformedPushes) {
-  sched::ImageRegistry registry;
-  EXPECT_FALSE(registry.Push("", "v1", {BytesOf("x")}).ok());
-  EXPECT_FALSE(registry.Push("a", "", {BytesOf("x")}).ok());
-  EXPECT_FALSE(registry.Push("a", "v1", {}).ok());
-  EXPECT_FALSE(registry.Pull("ghost:v1", "n0").ok());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Topology routing, transport timing/loss/queueing, RPC fabric, and the
-// MQTT-style broker.
+// Topology routing, transport timing/loss/queueing, network slicing, RPC
+// fabric, and the MQTT-style broker.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -418,6 +418,66 @@ TEST(Network, RpcTimesOutOnLostReply) {
   engine.Run();
   EXPECT_TRUE(timed_out);
   EXPECT_EQ(engine.Now(), SimTime::Millis(100));
+}
+
+// Network slicing: priority classes at a link queue.
+TEST(NetworkSlicing, ControlTrafficPreemptsBulkQueue) {
+  sim::Engine engine;
+  Topology t;
+  // 1 Mb/s link: a 1250-byte frame takes 10ms to serialize.
+  t.AddLink(Link{"a", "b", SimTime::Zero(), 1e6, 0.0, {}});
+  Network net(engine, std::move(t), 1);
+  std::vector<std::string> arrivals;
+  net.Attach("b", [&](const Message& m) { arrivals.push_back(m.kind); });
+
+  // Flood five bulk frames, then one control frame while the first bulk
+  // frame is still on the wire.
+  for (int i = 0; i < 5; ++i) {
+    Message bulk;
+    bulk.from = "a";
+    bulk.to = "b";
+    bulk.kind = "bulk-" + std::to_string(i);
+    bulk.protocol = Protocol::kMqtt;
+    bulk.body_bytes = 1242;
+    bulk.priority = 0;
+    ASSERT_TRUE(net.Send(std::move(bulk)).ok());
+  }
+  Message control;
+  control.from = "a";
+  control.to = "b";
+  control.kind = "control";
+  control.protocol = Protocol::kMqtt;
+  control.body_bytes = 42;
+  control.priority = 2;
+  ASSERT_TRUE(net.Send(std::move(control)).ok());
+
+  engine.Run();
+  ASSERT_EQ(arrivals.size(), 6u);
+  // bulk-0 was already transmitting; control jumps the remaining queue.
+  EXPECT_EQ(arrivals[0], "bulk-0");
+  EXPECT_EQ(arrivals[1], "control");
+  EXPECT_EQ(arrivals[2], "bulk-1");
+  EXPECT_EQ(arrivals[5], "bulk-4");
+}
+
+TEST(NetworkSlicing, EqualPriorityKeepsFifo) {
+  sim::Engine engine;
+  Topology t;
+  t.AddLink(Link{"a", "b", SimTime::Zero(), 1e6, 0.0, {}});
+  Network net(engine, std::move(t), 1);
+  std::vector<std::string> arrivals;
+  net.Attach("b", [&](const Message& m) { arrivals.push_back(m.kind); });
+  for (int i = 0; i < 4; ++i) {
+    Message m;
+    m.from = "a";
+    m.to = "b";
+    m.kind = std::to_string(i);
+    m.body_bytes = 500;
+    m.priority = 1;
+    ASSERT_TRUE(net.Send(std::move(m)).ok());
+  }
+  engine.Run();
+  EXPECT_EQ(arrivals, (std::vector<std::string>{"0", "1", "2", "3"}));
 }
 
 TEST(TopicMatch, ExactAndWildcards) {
